@@ -132,6 +132,12 @@ TSP_OBS_COUNTER(simL2Misses, "sim.l2_misses", "sim::SharedL2",
 TSP_OBS_COUNTER(simNetQueueDelay, "sim.net_queue_delay",
                 "sim::Interconnect",
                 "cycles transactions waited on busy links/channels")
+TSP_OBS_COUNTER(simChains, "sim.chains", "sim::Machine",
+                "event chains the scheduler started (earliest-event "
+                "picks)")
+TSP_OBS_COUNTER(simBarrierReschedules, "sim.barrier_reschedules",
+                "sim::Machine",
+                "processor events a barrier release moved earlier")
 
 TSP_OBS_COUNTER(traceChunkRefills, "trace.chunk_refills",
                 "trace::SharedTraceStream",
@@ -245,6 +251,8 @@ allMetrics()
     simL2Hits();
     simL2Misses();
     simNetQueueDelay();
+    simChains();
+    simBarrierReschedules();
     traceChunkRefills();
     traceWindowEvents();
     traceResidentBytes();

@@ -67,6 +67,8 @@ Gauge &simHistoryEntries();      //!< summed cache-history sizes
 Counter &simL2Hits();            //!< shared-L2 hits on L1 misses
 Counter &simL2Misses();          //!< shared-L2 misses (memory fills)
 Counter &simNetQueueDelay();     //!< cycles waited on busy links
+Counter &simChains();            //!< event-scheduler selections
+Counter &simBarrierReschedules(); //!< events moved up by barriers
 
 // ----------------------------------------- trace::SharedTraceStream
 Counter &traceChunkRefills();     //!< chunks pulled from producers

@@ -62,7 +62,7 @@ Machine::construct(const placement::PlacementMap &placement)
     }
     stats_.procs.resize(cfg_.processors);
     stats_.coherencePairs = stats::PairMatrix(threads);
-    scheduledAt_.assign(cfg_.processors, kNoEvent);
+    events_ = EventTree(cfg_.processors);
     framesPerCache_ = caches_[0].numFrames();
     frameDir_.assign(cfg_.processors * framesPerCache_, nullptr);
 
@@ -483,37 +483,23 @@ Machine::advance(uint64_t maxChains)
     if (!started_) {
         started_ = true;
         for (uint32_t p = 0; p < cfg_.processors; ++p)
-            schedule(p, 0);
+            events_.set(p, 0);
     }
 
-    const uint32_t n = cfg_.processors;
     uint64_t chains = 0;
     while (true) {
         if (maxChains != 0 && chains++ == maxChains)
             return false;
-        // Earliest pending event and runner-up in one scan. Strict
-        // less-than keeps the first of equal times, so ties go to the
-        // lowest processor id — exactly the old heap's
-        // (time, processor) ordering. The runner-up is the chain
-        // horizon: the picked processor runs until its local time
-        // passes it (see docs/performance.md).
-        uint64_t now = kNoEvent;
-        uint64_t horizon = kNoEvent;
-        uint32_t p = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-            uint64_t s = scheduledAt_[i];
-            if (s < now) {
-                horizon = now;
-                now = s;
-                p = i;
-            } else if (s < horizon) {
-                horizon = s;
-            }
-        }
+        // Earliest pending event: the tree's root, ties to the lowest
+        // processor id. Popping it leaves the runner-up at the root,
+        // and that is the chain horizon: the picked processor runs
+        // until its local time passes it (see docs/performance.md).
+        uint64_t now = events_.topTime();
         if (now == kNoEvent)
             break;
-        scheduledAt_[p] = kNoEvent;
-        rescheduled_ = false;
+        const uint32_t p = events_.top();
+        events_.pop(p);
+        ++chains_;
 
         Proc &proc = procs_[p];
         ProcessorStats &ps = stats_.procs[p];
@@ -527,18 +513,14 @@ Machine::advance(uint64_t maxChains)
         // Identical micro-step semantics to processing one event at a
         // time through a scheduler queue, minus the dispatch overhead.
         for (;;) {
-            // A barrier release inside a previous iteration may have
-            // moved another processor's event up: refresh the cached
-            // horizon.
-            if (rescheduled_) {
-                horizon = minScheduled();
-                rescheduled_ = false;
-            }
-            if (now > horizon) {
+            // The horizon is re-read from the root every micro-step: a
+            // barrier release inside a previous iteration may have
+            // moved another processor's event up.
+            if (events_.topBefore(now)) {
                 // Yield: this supersedes any event the processor
                 // scheduled for itself mid-chain (barrier
                 // self-release).
-                scheduledAt_[p] = now;
+                events_.set(p, now);
                 break;
             }
 
@@ -572,7 +554,7 @@ Machine::advance(uint64_t maxChains)
                     // Finished or all contexts barrier-blocked: no
                     // next event. The explicit clear supersedes any
                     // mid-chain barrier self-schedule.
-                    scheduledAt_[p] = kNoEvent;
+                    events_.pop(p);
                     break;
                 }
                 util::panicIf(*wake <= now,
@@ -724,6 +706,8 @@ recordRunMetrics(const SimStats &stats, const Machine &machine,
     obs::simL2Hits().add(stats.l2Hits);
     obs::simL2Misses().add(stats.l2Misses);
     obs::simNetQueueDelay().add(stats.networkQueueingCycles);
+    obs::simChains().add(machine.chains());
+    obs::simBarrierReschedules().add(machine.barrierReschedules());
 }
 
 SimStats

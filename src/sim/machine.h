@@ -32,6 +32,7 @@
 #include "sim/cache.h"
 #include "sim/config.h"
 #include "sim/directory.h"
+#include "sim/event_tree.h"
 #include "sim/interconnect.h"
 #include "sim/invariant_checker.h"
 #include "sim/l2_cache.h"
@@ -135,12 +136,18 @@ class Machine
         return sum;
     }
 
+    /** Scheduler selections so far (event chains started). */
+    uint64_t chains() const { return chains_; }
+
+    /** Processor events a barrier release moved earlier so far. */
+    uint64_t barrierReschedules() const { return barrierReschedules_; }
+
   private:
     /** readyAt sentinel: blocked at a barrier. */
     static constexpr uint64_t kWaiting = ~0ull;
 
-    /** scheduledAt sentinel: no outstanding event. */
-    static constexpr uint64_t kNoEvent = ~0ull;
+    /** Event-time sentinel: no outstanding event. */
+    static constexpr uint64_t kNoEvent = EventTree::kNoEvent;
 
     /** One hardware context. */
     struct Context
@@ -187,16 +194,6 @@ class Machine
     /** Earliest wake among stalled (not barrier-blocked) contexts. */
     std::optional<uint64_t> nextWake(const Proc &proc) const;
 
-    /** Earliest pending event time across all processors. */
-    uint64_t
-    minScheduled() const
-    {
-        uint64_t t = kNoEvent;
-        for (uint64_t s : scheduledAt_)
-            t = s < t ? s : t;
-        return t;
-    }
-
     /**
      * Perform the memory access on @p block (already translated from
      * the address), updating caches, directory and stats. Returns true
@@ -236,10 +233,8 @@ class Machine
     {
         util::panicIf(t == kNoEvent,
                       "event time collides with the no-event sentinel");
-        if (t < scheduledAt_[p]) {
-            scheduledAt_[p] = t;
-            rescheduled_ = true;
-        }
+        if (events_.lower(p, t))
+            ++barrierReschedules_;
     }
 
     /** Shared tail of both constructors (members above already set). */
@@ -289,15 +284,17 @@ class Machine
     uint64_t refsUntilCheck_ = 0;
     uint64_t refsSeen_ = 0;
 
-    // Event "queue": scheduledAt_[p] is processor p's next event time
-    // (kNoEvent when it has none). With at most kMaxProcessors
-    // processors, the run() loop finds the earliest event with a
-    // linear argmin scan — cheaper than a binary heap at these sizes,
-    // and allocation-free by construction (see docs/performance.md).
-    // rescheduled_ flags a mid-chain schedule() (barrier release) so
-    // run() recomputes its cached horizon only when it can change.
-    std::vector<uint64_t> scheduledAt_;
-    bool rescheduled_ = false;
+    // Event "queue": processor p's next event time (kNoEvent when it
+    // has none), held in a winner tree sized once at construction.
+    // The root is the earliest event, lowest processor id on ties; a
+    // pick, a yield or a barrier reschedule replays one O(log P) path
+    // (docs/performance.md). With the picked processor popped, the
+    // root is the chain horizon, so the chain re-reads it every
+    // micro-step and a mid-chain barrier release needs no bookkeeping
+    // of its own.
+    EventTree events_;
+    uint64_t chains_ = 0;              //!< sim.chains
+    uint64_t barrierReschedules_ = 0;  //!< sim.barrier_reschedules
 
     // Barrier state.
     uint32_t barrierParticipants_ = 0;  //!< 0 when traces are barrier-free

@@ -222,6 +222,38 @@ TEST(BatchMachine, ChainQuantumDoesNotChangeResults)
     }
 }
 
+TEST(BatchMachine, ResumeAfterEveryChainMatchesScalarAt256Procs)
+{
+    // A quantum of 1 returns from advance() after every chain, so the
+    // event tree is suspended and resumed between every pick. At 256
+    // processors it is eight levels deep, and each barrier release
+    // reschedules hundreds of processors at one instant.
+    const uint32_t procs = 256;
+    workload::AppProfile p = batchProfile(2 * procs);
+    p.meanLength = 1'500;
+    trace::TraceSet traces = workload::generateTraces(p, 1);
+    auto lanesFor = [&] {
+        std::vector<BatchLane> lanes;
+        lanes.push_back({laneConfig(procs, p.threads),
+                         roundRobin(p.threads, procs)});
+        lanes.push_back({laneConfig(procs, p.threads),
+                         blocked(p.threads, procs)});
+        return lanes;
+    };
+    std::vector<std::string> expected =
+        scalarFingerprints(lanesFor(), traces);
+
+    BatchMachine machine(lanesFor(), traces);
+    std::vector<LaneResult> results = machine.run(/*chainQuantum=*/1);
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        ASSERT_TRUE(results[i].ok) << results[i].error;
+        EXPECT_GT(results[i].stats.totalMemRefs(), 0u);
+        EXPECT_EQ(statsFingerprint(results[i].stats), expected[i]);
+    }
+}
+
 // --------------------------------------------------- lane isolation
 
 TEST(BatchMachine, FailedLaneDegradesAloneMaterialized)
