@@ -39,8 +39,9 @@ tsp_add_bench(bench_paper_summary)
 
 # Micro-benchmarks (google-benchmark).
 foreach(name bench_micro_simulator bench_micro_placement
-        bench_batched_simulator)
+        bench_batched_simulator bench_result_store)
     tsp_add_bench(${name})
     target_link_libraries(${name} PRIVATE
         benchmark::benchmark benchmark::benchmark_main)
 endforeach()
+target_link_libraries(bench_result_store PRIVATE tsp_svc)

@@ -1,202 +1,68 @@
 #include "experiment/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "experiment/parallel.h"
 #include "experiment/run_codec.h"
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
-#include "util/checksum.h"
-#include "util/error.h"
-#include "util/logging.h"
-#include "util/retry.h"
 
 namespace tsp::experiment {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'S', 'P', 'C'};
 // v2: job keys carry the memory-system variant; RunResult payloads
 // carry the shared-L2 counters.
 constexpr uint32_t kVersion = 2;
-constexpr size_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(uint32_t);
-constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
+
+/** u32 app, alg, processors, contexts; u8 infiniteCache, memSystem. */
+constexpr size_t kKeyBytes = 4 * sizeof(uint32_t) + 2;
+
+/** The key bytes are the payload prefix as they are. */
+void
+writeKey(codec::ByteWriter &w, const std::string &key)
+{
+    w.raw(key.data(), key.size());
+}
+
+std::string
+readKey(codec::ByteReader &r)
+{
+    std::string key(kKeyBytes, '\0');
+    r.raw(key.data(), kKeyBytes);
+    return key;
+}
 
 } // namespace
 
 // ------------------------------------------------------------ Checkpoint
 
-Checkpoint::Key
+std::string
 Checkpoint::keyOf(const RunJob &job)
 {
-    Key key;
-    key.app = static_cast<uint32_t>(job.app);
-    key.alg = static_cast<uint32_t>(job.alg);
-    key.processors = job.point.processors;
-    key.contexts = job.point.contexts;
-    key.infiniteCache = job.infiniteCache ? 1 : 0;
-    key.memSystem = static_cast<uint8_t>(job.memSystem);
-    return key;
+    codec::ByteWriter key;
+    key.u32(static_cast<uint32_t>(job.app));
+    key.u32(static_cast<uint32_t>(job.alg));
+    key.u32(job.point.processors);
+    key.u32(job.point.contexts);
+    key.u8(job.infiniteCache ? 1 : 0);
+    key.u8(static_cast<uint8_t>(job.memSystem));
+    return key.bytes();
 }
 
 Checkpoint::Checkpoint(std::string path, uint32_t scale)
-    : path_(std::move(path)), scale_(scale)
+    : scale_(scale),
+      log_(std::move(path), scale,
+           {{'T', 'S', 'P', 'C'}, kVersion, "checkpoint journal", writeKey,
+            readKey, nullptr,
+            [] { TSP_FAULT_POINT("checkpoint.append"); }})
 {
-    codec::ByteWriter header;
-    header.raw(kMagic, sizeof(kMagic));
-    header.u32(kVersion);
-    header.u32(scale_);
-    journal_ = header.bytes();
-    load();
-}
-
-size_t
-Checkpoint::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return results_.size();
-}
-
-void
-Checkpoint::load()
-{
-    std::ifstream is(path_, std::ios::binary);
-    if (!is)
-        return;  // no journal yet: start fresh
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string bytes = buf.str();
-
-    util::fatalIf(bytes.size() < kHeaderBytes ||
-                      std::memcmp(bytes.data(), kMagic,
-                                  sizeof(kMagic)) != 0,
-                  "not a TSPC checkpoint journal: " + path_);
-    uint32_t version = 0, scale = 0;
-    std::memcpy(&version, bytes.data() + sizeof(kMagic),
-                sizeof(version));
-    std::memcpy(&scale, bytes.data() + sizeof(kMagic) + sizeof(version),
-                sizeof(scale));
-    util::fatalIf(version != kVersion,
-                  util::concat("unsupported checkpoint version ",
-                               version, " in ", path_));
-    util::fatalIf(scale != scale_,
-                  util::concat("checkpoint ", path_,
-                               " was written at workload scale ",
-                               scale, ", this lab runs at scale ",
-                               scale_));
-
-    size_t pos = kHeaderBytes;
-    size_t good = pos;
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < kFrameBytes)
-            break;  // torn frame header
-        uint32_t len = 0, crc = 0;
-        std::memcpy(&len, bytes.data() + pos, sizeof(len));
-        std::memcpy(&crc, bytes.data() + pos + sizeof(len),
-                    sizeof(crc));
-        if (len > bytes.size() - pos - kFrameBytes)
-            break;  // record truncated mid-payload
-        std::string_view payload(bytes.data() + pos + kFrameBytes,
-                                 len);
-        if (util::crc32(payload) != crc)
-            break;  // torn or bit-rotted record
-        try {
-            codec::ByteReader r(payload);
-            Key key;
-            key.app = r.u32();
-            key.alg = r.u32();
-            key.processors = r.u32();
-            key.contexts = r.u32();
-            key.infiniteCache = r.u8();
-            key.memSystem = r.u8();
-            RunResult result = codec::readRunResult(r);
-            util::fatalIf(!r.done(),
-                          "checkpoint record has trailing bytes");
-            results_[key] = std::move(result);
-        } catch (const util::FatalError &) {
-            break;  // malformed payload despite a valid CRC frame
-        }
-        pos += kFrameBytes + len;
-        good = pos;
-    }
-
-    dropped_ = bytes.size() - good;
-    if (dropped_ > 0) {
-        util::warn(util::concat(
-            "checkpoint ", path_, ": dropping ", dropped_,
-            " trailing bytes (truncated or corrupt record, likely a "
-            "killed sweep); ", results_.size(),
-            " intact results recovered"));
-    }
-    journal_ = bytes.substr(0, good);
-}
-
-std::optional<RunResult>
-Checkpoint::lookup(const RunJob &job) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = results_.find(keyOf(job));
-    if (it == results_.end())
-        return std::nullopt;
-    return it->second;
+    log_.open();
 }
 
 void
 Checkpoint::record(const RunJob &job, const RunResult &result)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Key key = keyOf(job);
-    if (results_.count(key))
-        return;
-
-    codec::ByteWriter payload;
-    payload.u32(key.app);
-    payload.u32(key.alg);
-    payload.u32(key.processors);
-    payload.u32(key.contexts);
-    payload.u8(key.infiniteCache);
-    payload.u8(key.memSystem);
-    codec::writeRunResult(payload, result);
-
-    codec::ByteWriter frame;
-    frame.u32(static_cast<uint32_t>(payload.bytes().size()));
-    frame.u32(util::crc32(payload.bytes()));
-
-    journal_ += frame.bytes();
-    journal_ += payload.bytes();
-    results_[key] = result;
-    persist();
-    obs::checkpointAppends().inc();
-}
-
-void
-Checkpoint::persist() const
-{
-    // Atomic publish: whole journal to .tmp, then rename over the
-    // real file, retried on transient filesystem failures. A kill at
-    // any instant leaves either the old or the new journal intact.
-    std::string tmp = path_ + ".tmp";
-    util::retry(
-        [&] {
-            TSP_FAULT_POINT("checkpoint.append");
-            std::ofstream os(tmp,
-                             std::ios::binary | std::ios::trunc);
-            util::fatalIf(
-                !os, "cannot open checkpoint for writing: " + tmp);
-            os.write(journal_.data(),
-                     static_cast<std::streamsize>(journal_.size()));
-            os.flush();
-            util::fatalIf(!os, "checkpoint write failed: " + tmp);
-            os.close();
-            TSP_FAULT_POINT("checkpoint.rename");
-            util::fatalIf(
-                std::rename(tmp.c_str(), path_.c_str()) != 0,
-                "cannot publish checkpoint: " + path_);
-        },
-        util::jitteredRetryPolicy(path_), "checkpoint append " + path_);
+    if (log_.put(keyOf(job), result))
+        obs::checkpointAppends().inc();
 }
 
 } // namespace tsp::experiment

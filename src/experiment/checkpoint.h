@@ -6,37 +6,22 @@
  * result to an on-disk file so a killed multi-hour sweep resumes by
  * replaying the journal and simulating only the missing cells.
  *
- * File format ("TSPC", version 2, little-endian; version 2 added the
- * memory-system variant to the job key and the shared-L2 counters to
- * the serialized statistics — older journals are rejected with a
- * clear error rather than silently misread):
- *
- *     magic "TSPC" | u32 version | u32 workload scale
- *     record*:  u32 payloadBytes | u32 crc32(payload) | payload
- *
- * The payload serializes the job key and the full RunResult (placement
- * map, per-processor statistics, coherence pair matrix, sharing
- * profile), bit-exactly, so a replayed sweep's report is identical to
- * an uninterrupted run.
- *
- * Durability strategy: every append rewrites the journal to a sibling
- * `.tmp` file and renames it over the original (an atomic publish on
- * POSIX), with bounded retry on transient filesystem failures. On
- * load, a truncated or corrupt trailing record — the signature of a
- * kill mid-append — is detected by its length/CRC frame and dropped
- * with a warning; every intact record before it is recovered.
+ * The journal is an experiment::RecordLog ("TSPC", version 2: v2
+ * added the memory-system variant to the job key and the shared-L2
+ * counters to the statistics; older journals are rejected). Each
+ * record is the job key plus the full RunResult, bit-exact, so a
+ * replayed sweep's report is identical to an uninterrupted run.
  */
 
 #ifndef TSP_EXPERIMENT_CHECKPOINT_H
 #define TSP_EXPERIMENT_CHECKPOINT_H
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "experiment/lab.h"
+#include "experiment/record_log.h"
 
 namespace tsp::experiment {
 
@@ -55,19 +40,23 @@ class Checkpoint
     Checkpoint(std::string path, uint32_t scale);
 
     /** The journal path. */
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return log_.path(); }
 
     /** The workload scale the journal is bound to. */
     uint32_t scale() const { return scale_; }
 
     /** Number of completed job results currently journaled. */
-    size_t size() const;
+    size_t size() const { return log_.size(); }
 
     /** Bytes of truncated/corrupt trailing data dropped on load. */
-    uint64_t droppedBytes() const { return dropped_; }
+    uint64_t droppedBytes() const { return log_.droppedBytes(); }
 
     /** The journaled result of @p job, if any. Thread-safe. */
-    std::optional<RunResult> lookup(const RunJob &job) const;
+    std::optional<RunResult>
+    lookup(const RunJob &job) const
+    {
+        return log_.lookup(keyOf(job));
+    }
 
     /**
      * Journal @p result for @p job and persist. Idempotent (a
@@ -77,29 +66,11 @@ class Checkpoint
     void record(const RunJob &job, const RunResult &result);
 
   private:
-    struct Key
-    {
-        uint32_t app = 0;
-        uint32_t alg = 0;
-        uint32_t processors = 0;
-        uint32_t contexts = 0;
-        uint8_t infiniteCache = 0;
-        uint8_t memSystem = 0;
+    /** Key bytes: app, alg, point, cache mode, memory system. */
+    static std::string keyOf(const RunJob &job);
 
-        auto operator<=>(const Key &) const = default;
-    };
-
-    static Key keyOf(const RunJob &job);
-    void load();
-    void persist() const;
-
-    std::string path_;
     uint32_t scale_;
-    uint64_t dropped_ = 0;
-
-    mutable std::mutex mutex_;
-    std::map<Key, RunResult> results_;
-    std::string journal_;  //!< serialized header + intact records
+    RecordLog log_;
 };
 
 } // namespace tsp::experiment

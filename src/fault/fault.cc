@@ -155,9 +155,7 @@ Registry::catalog()
         {"trace.write", "trace::saveFile",
          "writing the trace temp file fails before publish"},
         {"checkpoint.append", "experiment::Checkpoint",
-         "writing the checkpoint journal's temp file fails"},
-        {"checkpoint.rename", "experiment::Checkpoint",
-         "the atomic tmp->journal rename publish fails"},
+         "appending a record to the checkpoint journal fails"},
         {"lab.memo_init", "experiment::Lab",
          "materializing an application's traces fails"},
         {"pool.dispatch", "util::ThreadPool",

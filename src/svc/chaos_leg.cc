@@ -137,7 +137,6 @@ chaosLeg(workload::AppId app, uint32_t scale)
     };
     extension.reset = [](const std::string &workDir) {
         std::remove(storePath(workDir).c_str());
-        std::remove((storePath(workDir) + ".tmp").c_str());
         std::remove((storePath(workDir) + ".lock").c_str());
     };
     return extension;

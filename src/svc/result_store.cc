@@ -1,18 +1,9 @@
 #include "svc/result_store.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "experiment/run_codec.h"
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
-#include "util/checksum.h"
 #include "util/error.h"
-#include "util/file_lock.h"
-#include "util/logging.h"
-#include "util/retry.h"
 
 namespace tsp::svc {
 
@@ -22,18 +13,15 @@ namespace codec = experiment::codec;
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'S', 'P', 'S'};
 // v2: job keys carry the memory-system variant; RunResult payloads
 // carry the shared-L2 counters.
 constexpr uint32_t kVersion = 2;
-constexpr size_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(uint32_t);
-constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
 
 /** Keys are tiny fixed-layout configuration tuples. */
 constexpr uint32_t kMaxKeyBytes = 256;
 
 uint64_t
-fnv1a(const std::string &bytes)
+fnv1a(std::string_view bytes)
 {
     uint64_t hash = 1469598103934665603ull;
     for (unsigned char c : bytes)
@@ -41,30 +29,42 @@ fnv1a(const std::string &bytes)
     return hash;
 }
 
-std::string
-readWhole(const std::string &path)
+/** Key codec: u64 keyDigest | u32 keyLen | key. */
+void
+writeKey(codec::ByteWriter &w, const std::string &key)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::string();
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
+    w.u64(fnv1a(key));
+    w.u32(static_cast<uint32_t>(key.size()));
+    w.raw(key.data(), key.size());
+}
+
+std::string
+readKey(codec::ByteReader &r)
+{
+    uint64_t digest = r.u64();
+    uint32_t keyLen = r.u32();
+    util::fatalIf(keyLen > kMaxKeyBytes,
+                  "result store key unreasonably large");
+    std::string key(keyLen, '\0');
+    r.raw(key.data(), keyLen);
+    // Content-address self-check: a record whose digest does not
+    // match its own key bytes is corrupt despite the CRC.
+    util::fatalIf(digest != fnv1a(key),
+                  "result store record digest mismatch");
+    return key;
 }
 
 } // namespace
 
 ResultStore::ResultStore(std::string path, uint32_t scale)
-    : path_(std::move(path)), scale_(scale)
+    : scale_(scale),
+      log_(std::move(path), scale,
+           {{'T', 'S', 'P', 'S'}, kVersion, "result store", writeKey,
+            readKey, [] { TSP_FAULT_POINT("store.lock"); },
+            [] { TSP_FAULT_POINT("store.put"); }, &obs::storeLockWaits()})
 {
-    load();
-}
-
-size_t
-ResultStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return results_.size();
+    TSP_FAULT_POINT("store.load");
+    log_.open();
 }
 
 std::string
@@ -89,211 +89,21 @@ ResultStore::digestOf(const RunJob &job, uint32_t scale)
     return fnv1a(keyBytes(job, scale));
 }
 
-size_t
-ResultStore::replay(const std::string &bytes)
-{
-    util::fatalIf(bytes.size() < kHeaderBytes ||
-                      std::memcmp(bytes.data(), kMagic,
-                                  sizeof(kMagic)) != 0,
-                  "not a TSPS result store: " + path_);
-    uint32_t version = 0, scale = 0;
-    std::memcpy(&version, bytes.data() + sizeof(kMagic),
-                sizeof(version));
-    std::memcpy(&scale, bytes.data() + sizeof(kMagic) + sizeof(version),
-                sizeof(scale));
-    util::fatalIf(version != kVersion,
-                  util::concat("unsupported result store version ",
-                               version, " in ", path_));
-    util::fatalIf(scale != scale_,
-                  util::concat("result store ", path_,
-                               " was written at workload scale ",
-                               scale, ", this daemon runs at scale ",
-                               scale_));
-
-    size_t pos = kHeaderBytes;
-    size_t good = pos;
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < kFrameBytes)
-            break;  // torn frame header
-        uint32_t len = 0, crc = 0;
-        std::memcpy(&len, bytes.data() + pos, sizeof(len));
-        std::memcpy(&crc, bytes.data() + pos + sizeof(len),
-                    sizeof(crc));
-        if (len > bytes.size() - pos - kFrameBytes)
-            break;  // record truncated mid-payload
-        std::string_view payload(bytes.data() + pos + kFrameBytes,
-                                 len);
-        if (util::crc32(payload) != crc)
-            break;  // torn or bit-rotted record
-        try {
-            codec::ByteReader r(payload);
-            uint64_t digest = r.u64();
-            uint32_t keyLen = r.u32();
-            util::fatalIf(keyLen > kMaxKeyBytes,
-                          "result store key unreasonably large");
-            std::string key(keyLen, '\0');
-            r.raw(key.data(), keyLen);
-            RunResult result = codec::readRunResult(r);
-            util::fatalIf(!r.done(),
-                          "result store record has trailing bytes");
-            // Content-address self-check: a record whose digest does
-            // not match its own key bytes is corrupt despite the CRC.
-            util::fatalIf(digest != fnv1a(key),
-                          "result store record digest mismatch");
-            // First writer wins: a record this process already holds
-            // (from its own puts or an earlier replay) is canonical —
-            // the simulation is deterministic, so any honest
-            // duplicate is bit-identical anyway.
-            results_.emplace(std::move(key), std::move(result));
-        } catch (const util::FatalError &) {
-            break;  // malformed payload despite a valid CRC frame
-        }
-        pos += kFrameBytes + len;
-        good = pos;
-    }
-    return good;
-}
-
-void
-ResultStore::load()
-{
-    TSP_FAULT_POINT("store.load");
-    // Shared advisory lock: many loaders may replay together, but
-    // none overlaps a writer's exclusive publish cycle.
-    util::FileLock flock(lockPath(), util::FileLock::Mode::Shared);
-    if (flock.waited())
-        obs::storeLockWaits().inc();
-    std::string bytes = readWhole(path_);
-    if (bytes.empty())
-        return;  // no store yet: start fresh
-
-    size_t good = replay(bytes);
-    dropped_ = bytes.size() - good;
-    if (dropped_ > 0) {
-        util::warn(util::concat(
-            "result store ", path_, ": dropping ", dropped_,
-            " trailing bytes (truncated or corrupt record, likely a "
-            "killed daemon); ", results_.size(),
-            " intact results recovered"));
-    }
-}
-
-void
-ResultStore::mergeFromDisk()
-{
-    std::string bytes = readWhole(path_);
-    if (bytes.empty())
-        return;  // nothing published yet (or wiped between cycles)
-    size_t before = results_.size();
-    size_t good = replay(bytes);
-    size_t adopted = results_.size() - before;
-    if (adopted > 0) {
-        util::inform(util::concat("result store ", path_, ": adopted ",
-                                adopted,
-                                " records published by another "
-                                "process"));
-    }
-    if (bytes.size() != good) {
-        util::warn(util::concat(
-            "result store ", path_, ": ignoring ",
-            bytes.size() - good,
-            " corrupt trailing bytes while merging (they are "
-            "dropped by this publish)"));
-    }
-}
-
 std::optional<RunResult>
 ResultStore::lookup(const RunJob &job) const
 {
-    std::string key = keyBytes(job, scale_);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = results_.find(key);
-    if (it == results_.end()) {
-        obs::storeMisses().inc();
-        return std::nullopt;
-    }
-    obs::storeHits().inc();
-    return it->second;
+    std::optional<RunResult> cached = log_.lookup(keyBytes(job, scale_));
+    (cached ? obs::storeHits() : obs::storeMisses()).inc();
+    return cached;
 }
 
 bool
 ResultStore::put(const RunJob &job, const RunResult &result)
 {
-    std::string key = keyBytes(job, scale_);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (results_.count(key))
+    if (!log_.put(keyBytes(job, scale_), result))
         return false;
-
-    // The record becomes resident before the publish is attempted:
-    // if persistence fails past its retry budget the result is still
-    // served from memory and rides along with the next put.
-    results_[std::move(key)] = result;
-    persist();
     obs::storePuts().inc();
     return true;
-}
-
-std::string
-ResultStore::buildImage() const
-{
-    codec::ByteWriter header;
-    header.raw(kMagic, sizeof(kMagic));
-    header.u32(kVersion);
-    header.u32(scale_);
-    std::string image = header.bytes();
-
-    for (const auto &[key, result] : results_) {
-        codec::ByteWriter payload;
-        payload.u64(fnv1a(key));
-        payload.u32(static_cast<uint32_t>(key.size()));
-        payload.raw(key.data(), key.size());
-        codec::writeRunResult(payload, result);
-
-        codec::ByteWriter frame;
-        frame.u32(static_cast<uint32_t>(payload.bytes().size()));
-        frame.u32(util::crc32(payload.bytes()));
-        image += frame.bytes();
-        image += payload.bytes();
-    }
-    return image;
-}
-
-void
-ResultStore::persist()
-{
-    // Read-merge-publish under the exclusive advisory lock, with the
-    // checkpoint journal's atomic-rename discipline: re-read the file
-    // (another process may have published since we last looked),
-    // adopt its records, then write the merged image to .tmp and
-    // rename it over the real file. Bounded jittered retry wraps the
-    // whole cycle, so a transient lock or I/O failure is retried with
-    // the merge re-run from scratch.
-    std::string tmp = path_ + ".tmp";
-    util::retry(
-        [&] {
-            TSP_FAULT_POINT("store.lock");
-            util::FileLock flock(lockPath(),
-                                 util::FileLock::Mode::Exclusive);
-            if (flock.waited())
-                obs::storeLockWaits().inc();
-            mergeFromDisk();
-            std::string image = buildImage();
-
-            TSP_FAULT_POINT("store.put");
-            std::ofstream os(tmp,
-                             std::ios::binary | std::ios::trunc);
-            util::fatalIf(
-                !os, "cannot open result store for writing: " + tmp);
-            os.write(image.data(),
-                     static_cast<std::streamsize>(image.size()));
-            os.flush();
-            util::fatalIf(!os, "result store write failed: " + tmp);
-            os.close();
-            util::fatalIf(
-                std::rename(tmp.c_str(), path_.c_str()) != 0,
-                "cannot publish result store: " + path_);
-        },
-        util::jitteredRetryPolicy(path_), "result store put " + path_);
 }
 
 } // namespace tsp::svc

@@ -5,24 +5,19 @@
  * bytes, so a duplicate study is a disk cache hit and a daemon
  * restart serves previously computed results bit-identically.
  *
- * Durability model (shared with the TSPC checkpoint journal):
- *  - every record is framed `u32 len | u32 crc32(payload) | payload`,
- *    with the payload produced by experiment::codec;
- *  - persistence is a whole-image write to `<path>.tmp` followed by
- *    an atomic rename, wrapped in bounded jittered retry — a kill -9
- *    at any instant leaves either the old or the new store intact;
- *  - load() drops a truncated or corrupt tail (warning loudly) and
- *    keeps every CRC-valid record before it, so a killed daemon
- *    loses at most the record being published.
+ * Persistence is experiment::RecordLog, shared with the TSPC
+ * checkpoint journal: each put appends one CRC-framed record
+ * (`u64 keyDigest | u32 keyLen | key | RunResult`) in one write —
+ * O(record), never a rewrite — and load() drops a torn tail, so a
+ * kill -9 loses at most the records being published. Safe against
+ * kill -9, not against power loss: the store never fsyncs.
  *
- * Multi-process model: several daemons — or a daemon plus a CLI —
- * may share one TSPS file. An advisory flock on the sidecar
- * `<path>.lock` file coordinates them: load() holds it shared, and
- * put() holds it exclusive around a read-merge-publish cycle that
- * re-reads the file and adopts records another process published
- * before rewriting the whole image, so a racing writer never drops
- * the other's results. The lock is advisory (cooperating processes
- * only) and released by the kernel if the holder dies, so a kill -9
+ * Several daemons — or a daemon plus a CLI — may share one TSPS file
+ * through an advisory flock on `<path>.lock`: load() holds it shared;
+ * put() holds it exclusive while it adopts the records other
+ * processes appended since its last look and appends only what
+ * nobody published yet. The file holds each record once, in arrival
+ * order. The kernel drops the lock of a killed holder, so a kill -9
  * never wedges the store.
  *
  * Fault sites: `store.load` (open/replay), `store.lock` (advisory
@@ -34,13 +29,12 @@
 #define TSP_SVC_RESULT_STORE_H
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "experiment/lab.h"
 #include "experiment/parallel.h"
+#include "experiment/record_log.h"
 
 namespace tsp::svc {
 
@@ -62,16 +56,16 @@ class ResultStore
     uint32_t scale() const { return scale_; }
 
     /** Number of resident result records. */
-    size_t size() const;
+    size_t size() const { return log_.size(); }
 
     /** Bytes of truncated/corrupt tail dropped by the last load. */
-    size_t droppedBytes() const { return dropped_; }
+    size_t droppedBytes() const { return log_.droppedBytes(); }
 
     /** The backing file path. */
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return log_.path(); }
 
     /** The sidecar advisory-lock path (`<path>.lock`). */
-    std::string lockPath() const { return path_ + ".lock"; }
+    std::string lockPath() const { return log_.lockPath(); }
 
     /**
      * FNV-1a digest of the canonical configuration bytes of
@@ -90,14 +84,13 @@ class ResultStore
     /**
      * Persist @p result under @p job's content address. Returns false
      * (and writes nothing) when the key is already present. The
-     * publish runs under the exclusive advisory lock as a
-     * read-merge-publish cycle: records another process wrote since
-     * our last look at the file are adopted before the whole image is
-     * rewritten, so concurrent writers never drop each other's work.
-     * On a persist failure that survives bounded retry the record
-     * stays resident in memory — served to lookups, and re-published
-     * by the next successful put — and the error propagates so the
-     * caller can report it.
+     * append runs under the exclusive advisory lock: records another
+     * process appended since our last look at the file are adopted
+     * first, so concurrent writers never drop each other's work. On a
+     * persist failure that survives bounded retry the record stays
+     * resident in memory — served to lookups, and appended by the
+     * next successful put — and the error propagates so the caller
+     * can report it.
      */
     bool put(const experiment::RunJob &job,
              const experiment::RunResult &result);
@@ -107,34 +100,8 @@ class ResultStore
     static std::string keyBytes(const experiment::RunJob &job,
                                 uint32_t scale);
 
-    void load();
-
-    /**
-     * Adopt every intact record in the on-disk file that this process
-     * has not seen (caller holds mutex_ and the exclusive flock).
-     */
-    void mergeFromDisk();
-
-    /** Serialize header + every resident record, in key order. */
-    std::string buildImage() const;
-
-    /**
-     * Validate @p bytes' TSPS header and replay every intact record
-     * into results_ (first writer wins; resident records are never
-     * overwritten). Returns the byte count of the valid prefix;
-     * throws FatalError on a foreign, wrong-version or wrong-scale
-     * header.
-     */
-    size_t replay(const std::string &bytes);
-
-    void persist();
-
-    std::string path_;
     uint32_t scale_;
-
-    mutable std::mutex mutex_;
-    std::map<std::string, experiment::RunResult> results_;
-    size_t dropped_ = 0;
+    experiment::RecordLog log_;
 };
 
 } // namespace tsp::svc

@@ -2,14 +2,15 @@
  * @file
  * Advisory file locking (BSD flock) for artifacts shared between
  * processes. The result store takes a shared lock to load and an
- * exclusive lock around its read-merge-publish cycle, so several
- * daemons — or a daemon plus a CLI — can share one TSPS file without
- * a racing writer dropping the other's records.
+ * exclusive lock around each append (catch up on the other writers'
+ * records, then append its own), so several daemons — or a daemon
+ * plus a CLI — can share one TSPS file without a racing writer
+ * dropping the other's records.
  *
  * The lock lives on a dedicated sidecar file (`<artifact>.lock`)
- * rather than the artifact itself: the artifact is published by
- * atomic rename, which replaces its inode, and a lock held on a
- * replaced inode protects nothing.
+ * rather than the artifact itself, so it survives the artifact being
+ * deleted or replaced: a lock held on a replaced inode protects
+ * nothing.
  *
  * Advisory means cooperating: every writer must take the lock, and a
  * process that bypasses it is not stopped. Locks are released by the

@@ -196,9 +196,9 @@ TEST(Checkpoint, CorruptMiddleRecordDropsTheTail)
     EXPECT_GT(cp.droppedBytes(), 0u);
 }
 
-TEST(Checkpoint, ResumesBitIdenticallyAfterInjectedRenameFailure)
+TEST(Checkpoint, ResumesBitIdenticallyAfterInjectedAppendFailure)
 {
-    std::string path = tempJournal("fault_rename");
+    std::string path = tempJournal("fault_append");
     Lab lab(kScale);
     RunJob first{AppId::Water, Algorithm::Random, {2, 4}, false};
     RunJob second{AppId::Water, Algorithm::ShareRefs, {4, 2}, false};
@@ -211,14 +211,14 @@ TEST(Checkpoint, ResumesBitIdenticallyAfterInjectedRenameFailure)
     std::string journalBefore = readAll(path);
     ASSERT_FALSE(journalBefore.empty());
 
-    // Every tmp->journal rename now fails: the bounded retry exhausts
-    // and the append surfaces the injected error to the caller.
-    fault::arm("checkpoint.rename:1+:error");
+    // Every append now fails: the bounded retry exhausts and the
+    // append surfaces the injected error to the caller.
+    fault::arm("checkpoint.append:1+:error");
     EXPECT_THROW(cp.record(second, r2), std::runtime_error);
     fault::disarm();
 
-    // Atomic publish held: the journal on disk is exactly the
-    // pre-failure journal, not a torn half-append.
+    // The failed append wrote nothing: the journal on disk is exactly
+    // the pre-failure journal, not a torn half-append.
     EXPECT_EQ(readAll(path), journalBefore);
 
     // A fresh process resumes from the surviving journal: the first

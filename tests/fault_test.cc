@@ -161,7 +161,7 @@ TEST(FaultSpec, KindNamesRoundTrip)
 
 TEST(FaultRegistry, CatalogPinsTheSiteCount)
 {
-    EXPECT_EQ(fault::Registry::catalog().size(), 20u)
+    EXPECT_EQ(fault::Registry::catalog().size(), 19u)
         << "fault site added or removed: update fault/fault.cc, "
            "docs/robustness.md and this count together";
     for (const fault::SiteInfo &site : fault::Registry::catalog()) {

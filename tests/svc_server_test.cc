@@ -232,8 +232,14 @@ TEST(SvcServer, CapacityShedsConnectionsBeyondTheLimit)
 
     RawConn occupant(server.port());
     ASSERT_GE(occupant.fd, 0);
-    // Let the poll thread accept the occupant before piling on.
-    std::this_thread::sleep_for(50ms);
+    // Wait (bounded) until the poll thread has accepted the occupant
+    // before piling on; a fixed sleep races a loaded host.
+    auto giveUp = std::chrono::steady_clock::now() + 5s;
+    while (server.counters().accepted < 1 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(1ms);
+    ASSERT_GE(server.counters().accepted, 1u)
+        << "the poll thread never accepted the occupant";
 
     Client::Config clientConfig = clientFor(server);
     clientConfig.retryBudget = 1;

@@ -194,9 +194,8 @@ TEST(ResultStore, TruncatedTailIsDroppedSurvivorsIntact)
     std::string bytes = readFile(path);
     writeFile(path, bytes.substr(0, bytes.size() - 7));
 
-    // The image is serialized in key order (so concurrent daemons
-    // build byte-identical files), so which record sits at the tail
-    // is the codec's business — exactly one must survive, intact.
+    // Records sit in arrival order, so the chop tears the second put;
+    // the test only pins that exactly one survives, intact.
     ResultStore recovered(path, kScale);
     EXPECT_EQ(recovered.size(), 1u);
     EXPECT_GT(recovered.droppedBytes(), 0u);
@@ -237,8 +236,8 @@ TEST(ResultStore, CorruptTailCrcIsDropped)
     bytes.back() = static_cast<char>(bytes.back() ^ 0x5a);
     writeFile(path, bytes);
 
-    // Exactly one record survives the flipped tail CRC (key-ordered
-    // image: which one is at the tail is the codec's business).
+    // Exactly one record survives the flipped tail CRC (arrival
+    // order: the second put sits at the tail).
     ResultStore recovered(path, kScale);
     EXPECT_EQ(recovered.size(), 1u);
     EXPECT_GT(recovered.droppedBytes(), 0u);
@@ -279,7 +278,7 @@ TEST(ResultStore, PersistentPutFaultThrowsButRecordStaysServable)
 
     // Failed to persist, but stays resident and served...
     EXPECT_TRUE(store.lookup(first).has_value());
-    // ...and the next successful put re-publishes the whole image.
+    // ...and stays pending: the next successful put appends both.
     EXPECT_TRUE(store.put(second, computedResult(second)));
     ResultStore reopened(path, kScale);
     EXPECT_EQ(reopened.size(), 2u);
@@ -334,8 +333,8 @@ TEST(ResultStore, ForkedWritersBothLandEveryRecord)
         [&](const std::vector<std::pair<RunJob, RunResult>> &set) {
             // Each process opens its own store handle — two daemons
             // sharing one TSPS file — and publishes its set. The
-            // read-merge-publish cycle under the exclusive flock must
-            // adopt whatever the sibling already landed.
+            // append under the exclusive flock must first adopt
+            // whatever the sibling already landed.
             ResultStore store(path, kScale);
             for (const auto &[job, result] : set)
                 store.put(job, result);

@@ -98,7 +98,6 @@ TEST(SvcTorture, SigkillMidPutNeverLosesMoreThanTheInFlightRecord)
     std::string path =
         testing::TempDir() + "/torture_store.tsps";
     std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
 
     // The study under torture and its expected answers, computed
     // independently of any store or daemon.
@@ -140,7 +139,7 @@ TEST(SvcTorture, SigkillMidPutNeverLosesMoreThanTheInFlightRecord)
         // bit-identical to the independently computed result.
         ResultStore recovered(path, kScale);
         EXPECT_EQ(recovered.droppedBytes(), 0u)
-            << "atomic tmp+rename must never publish a torn image";
+            << "a single-write append must never leave a torn tail";
         size_t found = 0;
         for (size_t i = 0; i < palette.size(); ++i) {
             auto cached = recovered.lookup(palette[i]);
@@ -192,7 +191,6 @@ TEST(SvcTorture, SigkillMidPutNeverLosesMoreThanTheInFlightRecord)
     }
 
     std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
 }
 
 } // namespace
