@@ -6,19 +6,18 @@
  *
  * The regime being measured is the streaming one — no materialized
  * trace is allowed to persist between cells, so every scalar cell
- * pays the full producer cost itself (census pass + generation pass +
+ * pays the full producer cost itself (one generation pass +
  * simulation), which is exactly the per-cell decode the batched
- * engine amortizes: one census and one generation feed all N lanes.
+ * engine amortizes: one generation feeds all N lanes.
  *
- *   scalar:  N x (census + generate + simulate)
- *   batched:     census + generate + N x simulate
+ *   scalar:  N x (generate + simulate)
+ *   batched:     generate + N x simulate
  *
  * Both paths report aggregate memory references per second across all
  * lanes, so BM_BatchedSimulator/N vs BM_ScalarStreamingRuns/N is the
  * amortization factor directly: it rises with N toward the asymptote
- * (production cost fully amortized) and crosses 2x within the
- * measured batch range — see the model and the recorded numbers in
- * docs/performance.md.
+ * (g + s) / s, production cost fully amortized — see the model and the
+ * recorded numbers in docs/performance.md.
  */
 
 #include <benchmark/benchmark.h>

@@ -12,8 +12,9 @@
  * for latency and statistics.
  *
  * Hot-path notes: entries live in a util::FlatMap (open addressing, no
- * per-entry heap nodes) sized up front from the trace's touched-block
- * count via reserveBlocks(); a write transaction returns the victims
+ * per-entry heap nodes), sized up front from a materialized trace's
+ * touched-block count via reserveBlocks() and grown on demand in
+ * streaming runs; a write transaction returns the victims
  * as a sharer *bit set* (sim::SharerSet, inline up to 128 processors)
  * rather than a heap vector, so the steady-state transaction path
  * never allocates on machines up to 128 processors (see
@@ -95,12 +96,12 @@ class Directory
         bool grantedExclusive = false;
 
         /**
-         * Stable handle on the block's directory entry. Entries are
-         * never erased and the table never rehashes once
-         * reserveBlocks() has covered the run's touched blocks, so the
-         * handle stays valid for the whole run; the Machine caches it
-         * per cache frame to evict without a second hash lookup
-         * (docs/performance.md).
+         * Handle on the block's directory entry. Entries are never
+         * erased, so the handle stays valid until a transaction grows
+         * the table: a rehash moves every entry and changes
+         * capacity(). The Machine caches the handle per cache frame to
+         * evict without a second hash lookup, and re-resolves all of
+         * them whenever capacity() changes (docs/performance.md).
          */
         Entry *entry = nullptr;
 
@@ -150,10 +151,18 @@ class Directory
 
     /**
      * Pre-size the entry table for @p blocks distinct blocks, so the
-     * steady-state transaction path never rehashes. The Machine calls
-     * this with the trace's touched-block count at construction.
+     * transaction path never rehashes. The Machine calls this with a
+     * materialized trace's touched-block count at construction;
+     * streaming runs skip it and the table grows as blocks appear.
      */
     void reserveBlocks(size_t blocks) { entries_.reserve(blocks); }
+
+    /**
+     * Entry-table slot count. It changes exactly when a transaction
+     * rehashes the table, which moves every entry and so invalidates
+     * every Txn::entry handle handed out before.
+     */
+    size_t capacity() const { return entries_.capacity(); }
 
     /**
      * Read transaction: processor @p proc (running thread @p tid)
@@ -201,11 +210,19 @@ class Directory
     /**
      * Visit every (block, entry) pair, in unspecified order. Used by
      * the paranoid-mode InvariantChecker to cross-check the directory
-     * against the caches.
+     * against the caches, and by the Machine to re-resolve its cached
+     * entry handles after a rehash (the mutable overload).
      */
     template <typename F>
     void
     forEachEntry(F &&fn) const
+    {
+        entries_.forEach(std::forward<F>(fn));
+    }
+
+    template <typename F>
+    void
+    forEachEntry(F &&fn)
     {
         entries_.forEach(std::forward<F>(fn));
     }

@@ -66,14 +66,26 @@ Machine::construct(const placement::PlacementMap &placement)
     framesPerCache_ = caches_[0].numFrames();
     frameDir_.assign(cfg_.processors * framesPerCache_, nullptr);
 
-    // Pre-size every hash table and queue from the trace census so the
-    // event loop never rehashes or reallocates (the allocation-free
-    // steady state tests/sim_alloc_test.cc pins). In streaming mode
-    // the source runs a dedicated census pass (memoized across lanes).
-    const trace::TraceSet::TouchedBlocks &touched = traces_
-        ? traces_->touchedBlocks(blockShift_)
-        : source_->touchedBlocks(blockShift_);
-    directory_.reserveBlocks(touched.total);
+    // A materialized run pre-sizes every hash table from the trace set's
+    // memoized census, so its event loop never rehashes or reallocates
+    // (the allocation-free steady state tests/sim_alloc_test.cc pins).
+    // A streaming run has no census — taking one would generate the
+    // trace twice — so its directory and histories grow on demand.
+    auto clusters = placement.clusters();
+    if (traces_) {
+        const trace::TraceSet::TouchedBlocks &touched =
+            traces_->touchedBlocks(blockShift_);
+        directory_.reserveBlocks(touched.total);
+        for (uint32_t p = 0; p < cfg_.processors; ++p) {
+            // History keys are a subset of the blocks this cache ever
+            // held, which is bounded by what its threads touch.
+            uint64_t historyBlocks = 0;
+            for (uint32_t tid : clusters[p])
+                historyBlocks += touched.perThread[tid];
+            caches_[p].reserveHistory(historyBlocks);
+        }
+    }
+    dirCapacity_ = directory_.capacity();
     barrierWaiters_.reserve(threads);
     if (cfg_.l2Bytes > 0)
         l2_.emplace(cfg_);
@@ -100,13 +112,10 @@ Machine::construct(const placement::PlacementMap &placement)
 
     // Distribute each processor's threads over its hardware contexts;
     // overflow threads wait in the pending queue.
-    auto clusters = placement.clusters();
     for (uint32_t p = 0; p < cfg_.processors; ++p) {
         Proc &proc = procs_[p];
         size_t c = 0;
-        uint64_t historyBlocks = 0;
         for (uint32_t tid : clusters[p]) {
-            historyBlocks += touched.perThread[tid];
             if (c < proc.ctxs.size()) {
                 loadThread(proc, c++, tid, 0);
             } else {
@@ -117,9 +126,6 @@ Machine::construct(const placement::PlacementMap &placement)
                 proc.pending.push_back(tid);
             }
         }
-        // History keys are a subset of the blocks this cache ever
-        // held, which is bounded by what its threads touch.
-        caches_[p].reserveHistory(historyBlocks);
     }
 }
 
@@ -293,6 +299,9 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
                 applyInvalidations(p, tid, txn, block);
                 hit->state = CoherenceState::Modified;
                 hit->threadId = tid;
+                // The block has an entry already, but the table's
+                // growth check runs on every transaction.
+                rebindIfRehashed();
                 // An upgrade carries no data: a stall costs the full
                 // directory round-trip, never an L2 fill.
                 missFillCycles_ = cfg_.memoryLatency;
@@ -305,9 +314,7 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
     }
 
     Cache::Frame &frame = cache.victimFor(block);
-    Directory::Entry *&frameEntry =
-        frameDir_[p * framesPerCache_ +
-                  static_cast<size_t>(&frame - cache.frames().data())];
+    Directory::Entry *&frameEntry = frameEntryOf(p, frame);
 
     // Miss: classify from this cache's departure history.
     auto [kind, writer] = cache.classifyMissAndWriter(block, tid);
@@ -322,6 +329,11 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
     // sharer sets stay exact), through the entry handle cached when
     // the frame was filled — no tag re-hash.
     if (frame.valid()) {
+        if (checker_) {
+            util::panicIf(frameEntry != directory_.find(frame.tag),
+                          "stale directory handle on a cache frame "
+                          "(missed re-resolve after a rehash)");
+        }
         bool wasDirty = frame.dirty();
         if (wasDirty)
             ++ps.writebacks;
@@ -419,7 +431,22 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
     frame.threadId = tid;
     frameEntry = txn.entry;
     cache.touch(frame);
+    rebindIfRehashed();
     return true;
+}
+
+void
+Machine::rebindFrameEntries()
+{
+    dirCapacity_ = directory_.capacity();
+    directory_.forEachEntry([&](uint64_t block, Directory::Entry &e) {
+        e.sharers.forEach([&](uint32_t p) {
+            const Cache::Frame *frame = caches_[p].lookup(block);
+            util::panicIf(frame == nullptr,
+                          "directory sharer does not hold the block");
+            frameEntryOf(p, *frame) = &e;
+        });
+    });
 }
 
 void

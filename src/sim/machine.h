@@ -221,6 +221,37 @@ class Machine
     void backInvalidateL1s(uint64_t vblock, bool l2Dirty,
                            uint32_t causerTid);
 
+    /** frameDir_ slot of processor @p p's cache frame @p frame. */
+    Directory::Entry *&
+    frameEntryOf(uint32_t p, const Cache::Frame &frame)
+    {
+        return frameDir_[p * framesPerCache_ +
+                         static_cast<size_t>(
+                             &frame - caches_[p].frames().data())];
+    }
+
+    /**
+     * After a directory transaction, once caches and directory agree
+     * again: if the transaction rehashed the table (capacity changed),
+     * re-point every valid frame's frameDir_ handle at its block's
+     * entry. A reserved table never rehashes, so there this costs one
+     * compare per transaction.
+     */
+    void
+    rebindIfRehashed()
+    {
+        if (directory_.capacity() != dirCapacity_) [[unlikely]]
+            rebindFrameEntries();
+    }
+
+    /**
+     * The rebind itself. Walks the directory's sharer sets (exact:
+     * caches notify evictions), so the cost is the table's size, not
+     * processors x frames; the table doubles on each rehash, so a
+     * whole run pays O(distinct blocks) for all of them.
+     */
+    void rebindFrameEntries();
+
     /** Record a barrier arrival; releases everyone on the last one. */
     void barrierArrive(uint32_t p, size_t c, uint64_t now);
 
@@ -259,9 +290,11 @@ class Machine
     // the block cache p's frame f holds (meaningless while the frame
     // is invalid). Evicting through the handle instead of re-hashing
     // the tag removes one directory lookup per miss
-    // (docs/performance.md).
+    // (docs/performance.md). A directory rehash moves every entry;
+    // rebindIfRehashed() re-resolves the handles.
     size_t framesPerCache_ = 0;
     std::vector<Directory::Entry *> frameDir_;
+    size_t dirCapacity_ = 0;
     Interconnect interconnect_;
     std::optional<SharedL2> l2_;  //!< present when cfg.l2Bytes > 0
 

@@ -5,7 +5,6 @@
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
 #include "util/error.h"
-#include "util/flat_map.h"
 
 namespace tsp::trace {
 
@@ -143,47 +142,6 @@ SharedTraceStream::retireLane(uint32_t lane)
     retired_[lane] = 1;
     for (ThreadWindow &w : windows_)
         trim(w);
-}
-
-const TraceSet::TouchedBlocks &
-SharedTraceStream::touchedBlocks(unsigned blockShift)
-{
-    auto it = census_.find(blockShift);
-    if (it != census_.end())
-        return it->second;
-
-    // Dedicated producer pass per thread (openProducer replays
-    // deterministically, so this sees exactly the simulated events);
-    // same counting scheme as TraceSet::touchedBlocks.
-    TraceSet::TouchedBlocks census;
-    uint32_t threads = factory_.threadCount();
-    census.perThread.reserve(threads);
-    util::FlatMap<uint64_t, uint8_t> global;
-    util::FlatMap<uint64_t, uint8_t> local;
-    std::vector<TraceEvent> buf;
-    for (ThreadId tid = 0; tid < threads; ++tid) {
-        local.clear();
-        local.reserve(4096);
-        std::unique_ptr<ChunkProducer> producer =
-            factory_.openProducer(tid);
-        for (;;) {
-            buf.clear();
-            if (!producer->produce(buf))
-                break;
-            for (const TraceEvent &e : buf) {
-                EventKind kind = e.kind();
-                if (kind != EventKind::Load && kind != EventKind::Store)
-                    continue;
-                uint64_t block = e.address() >> blockShift;
-                local.tryEmplace(block);
-                global.tryEmplace(block);
-            }
-        }
-        census.perThread.push_back(local.size());
-    }
-    census.total = global.size();
-    return census_.emplace(blockShift, std::move(census))
-        .first->second;
 }
 
 } // namespace tsp::trace

@@ -26,12 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "trace/thread_trace.h"
-#include "trace/trace_set.h"
 
 namespace tsp::trace {
 
@@ -68,7 +66,7 @@ class ChunkProducer
  * A replayable application trace in producer form. openProducer()
  * starts a fresh deterministic pass over one thread: every open of the
  * same tid must replay the identical event sequence, which is what
- * lets the census pass and the simulation pass (and any retry) agree.
+ * lets a streamed run, its materialized twin and any retry agree.
  */
 class StreamFactory
 {
@@ -87,9 +85,11 @@ class StreamFactory
 
 /**
  * What one simulator lane consumes: the streaming counterpart of a
- * const TraceSet&. The Machine sizes itself from threadCount(),
- * barrierCount() and touchedBlocks(), then pulls each thread's events
- * through the ChunkFeed that openThread() returns.
+ * const TraceSet&. The Machine sizes itself from threadCount() and
+ * barrierCount(), then pulls each thread's events through the
+ * ChunkFeed that openThread() returns. There is no touched-block
+ * census: a streamed trace is generated once per run, and the
+ * Machine's directory and history tables grow as blocks appear.
  */
 class TraceSource
 {
@@ -98,14 +98,6 @@ class TraceSource
 
     virtual uint32_t threadCount() const = 0;
     virtual uint64_t barrierCount(ThreadId tid) const = 0;
-
-    /**
-     * Touched-block census at @p blockShift (one dedicated producer
-     * pass on first call, memoized per shift). Reference valid for the
-     * source's lifetime.
-     */
-    virtual const TraceSet::TouchedBlocks &
-    touchedBlocks(unsigned blockShift) = 0;
 
     /**
      * The feed carrying thread @p tid's events to this lane. May be
@@ -135,9 +127,6 @@ class SharedTraceStream
 
     /** Lane view @p lane (stable reference, owned by the stream). */
     TraceSource &lane(uint32_t lane);
-
-    /** Census shared by all lanes (memoized per shift). */
-    const TraceSet::TouchedBlocks &touchedBlocks(unsigned blockShift);
 
     /**
      * Drop lane @p lane from the window accounting: its positions no
@@ -203,12 +192,6 @@ class SharedTraceStream
             return owner_->factory_.barrierCount(tid);
         }
 
-        const TraceSet::TouchedBlocks &
-        touchedBlocks(unsigned blockShift) override
-        {
-            return owner_->touchedBlocks(blockShift);
-        }
-
         ChunkFeed &openThread(ThreadId tid) override;
 
       private:
@@ -249,7 +232,6 @@ class SharedTraceStream
     std::vector<ThreadWindow> windows_;
     std::vector<LaneSource> laneSources_;
     std::vector<LaneFeed> feeds_;  //!< lane-major: [lane * threads + tid]
-    std::map<unsigned, TraceSet::TouchedBlocks> census_;
     uint64_t refills_ = 0;
     size_t windowEventsNow_ = 0;
     size_t windowEventsHighWater_ = 0;

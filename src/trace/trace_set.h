@@ -67,7 +67,9 @@ class TraceSet
      * Distinct cache blocks referenced at a given block granularity:
      * the union over every thread plus per-thread counts. The Machine
      * uses these to pre-size its directory and per-cache history
-     * tables so the simulate loop never rehashes.
+     * tables so the simulate loop never rehashes. Only materialized
+     * traces have a census: a streamed run grows its tables instead
+     * of generating the trace a second time to count.
      */
     struct TouchedBlocks
     {

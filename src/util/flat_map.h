@@ -114,8 +114,9 @@ class FlatMap
     /**
      * Find @p key or insert it with a value-initialized V. Returns the
      * value pointer and whether an insert happened (the try_emplace
-     * contract). The pointer is invalidated by any later insert that
-     * grows the table — don't hold it across mutations.
+     * contract). The pointer is invalidated by any later tryEmplace
+     * that grows the table (capacity() changes; the growth check runs
+     * before the lookup, so even a call that finds its key can grow).
      */
     std::pair<V *, bool>
     tryEmplace(const K &key)
@@ -174,6 +175,16 @@ class FlatMap
         for (size_t i = 0; i < slots_.size(); ++i)
             if (used_[i])
                 fn(slots_[i].key, slots_[i].value);
+    }
+
+    /** Mutable visit: @p fn may modify the values, not the keys. */
+    template <typename F>
+    void
+    forEach(F &&fn)
+    {
+        for (size_t i = 0; i < slots_.size(); ++i)
+            if (used_[i])
+                fn(std::as_const(slots_[i].key), slots_[i].value);
     }
 
     /** Const iterator over occupied slots, in unspecified order. */

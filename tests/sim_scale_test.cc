@@ -1,11 +1,14 @@
 /**
  * @file
- * Machine-scale tests for the 64-1024 processor range (ISSUE 10).
+ * Machine-scale tests for the 64-1024 processor range.
  *
- * Two contracts: (1) above the 128-processor inline width of
+ * Three contracts: (1) above the 128-processor inline width of
  * sim::SharerSet the simulation must behave exactly as below it —
  * streaming and materialized runs stay bit-identical through the
- * spill; (2) a 1024-processor streaming run must keep
+ * spill; (2) a streaming run, whose directory and history tables
+ * start empty and rehash many times mid-run, must match the
+ * materialized run whose tables are reserved exactly up front, scalar
+ * and batched; (3) a 1024-processor streaming run must keep
  * trace.resident_bytes bounded by the chunk windows, far below the
  * materialized trace footprint, which is what lets billion-reference
  * runs fit in RAM.
@@ -14,9 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/placement_map.h"
+#include "sim/batch_machine.h"
 #include "sim/machine.h"
 #include "sim/sharer_set.h"
 #include "trace/chunk_source.h"
@@ -84,10 +89,22 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
         EXPECT_EQ(x.upgrades, y.upgrades) << "proc " << p;
         EXPECT_EQ(x.invalidationsSent, y.invalidationsSent)
             << "proc " << p;
+        EXPECT_EQ(x.invalidationsReceived, y.invalidationsReceived)
+            << "proc " << p;
         EXPECT_EQ(x.writebacks, y.writebacks) << "proc " << p;
+        EXPECT_EQ(x.barrierCycles, y.barrierCycles) << "proc " << p;
     }
     EXPECT_EQ(a.executionTime(), b.executionTime());
     EXPECT_EQ(a.sharingCompulsoryMisses, b.sharingCompulsoryMisses);
+    EXPECT_EQ(a.networkTransactions, b.networkTransactions);
+    ASSERT_EQ(a.coherencePairs.size(), b.coherencePairs.size());
+    size_t pairMismatches = 0;
+    for (size_t i = 0; i < a.coherencePairs.size(); ++i) {
+        for (size_t j = 0; j < a.coherencePairs.size(); ++j)
+            pairMismatches +=
+                a.coherencePairs.get(i, j) != b.coherencePairs.get(i, j);
+    }
+    EXPECT_EQ(pairMismatches, 0u);
 }
 
 // 160 processors crosses the SharerSet inline/spill boundary mid-run:
@@ -115,6 +132,77 @@ TEST(SimScale, SpillParityStreamingVsMaterialized)
               streamed.sharingProfile.sharedBlocks);
     EXPECT_EQ(eager.sharingProfile.migratoryShared,
               streamed.sharingProfile.migratoryShared);
+}
+
+// Streaming runs take no touched-block census, so the directory and
+// the departure histories start empty and rehash many times while
+// every cache frame holds a cached directory-entry handle. Paranoid
+// mode checks each handle before evicting through it, so a handle
+// left stale by a rehash fails loudly instead of corrupting state;
+// the statistics must equal the materialized run, which reserves its
+// tables exactly and never rehashes.
+TEST(SimScale, GrowthParityStreamingVsReservedMaterialized)
+{
+    for (uint32_t threads : {256u, 1024u}) {
+        SCOPED_TRACE("processors " + std::to_string(threads));
+        workload::AppProfile p = scaleProfile(threads, 3'000);
+        SimConfig cfg = scaleConfig(threads);
+        cfg.paranoidEvery = 1 << 15;
+        PlacementMap place = identity(threads);
+
+        trace::TraceSet traces = workload::generateTraces(p, /*scale=*/1);
+        SimStats reserved = simulate(cfg, traces, place);
+
+        workload::AppStreamFactory factory(p, /*scale=*/1);
+        trace::SharedTraceStream stream(factory, /*lanes=*/1);
+        Machine machine(cfg, stream.lane(0), place);
+        SimStats grown = machine.run();
+
+        expectIdenticalStats(reserved, grown);
+        EXPECT_GT(reserved.totalMisses(), 0u);
+        // From the 16-slot initial table to this size takes at least
+        // seven doublings, each one mid-run.
+        EXPECT_GT(machine.directoryEntries(), 1'000u);
+    }
+}
+
+// The same through the batched engine: two lanes of different machine
+// sizes grow their own tables over one shared stream.
+TEST(SimScale, GrowthParityBatchedStreamingLanes)
+{
+    const uint32_t threads = 256;
+    workload::AppProfile p = scaleProfile(threads, 3'000);
+    auto lanesFor = [&] {
+        std::vector<BatchLane> lanes;
+        SimConfig wide = scaleConfig(threads);
+        wide.paranoidEvery = 1 << 15;
+        lanes.push_back({wide, identity(threads)});
+        SimConfig narrow = scaleConfig(threads / 2);
+        narrow.contexts = 2;
+        narrow.paranoidEvery = 1 << 15;
+        std::vector<uint32_t> assign(threads);
+        for (uint32_t t = 0; t < threads; ++t)
+            assign[t] = t / 2;
+        lanes.push_back({narrow, PlacementMap(threads / 2, assign)});
+        return lanes;
+    };
+
+    trace::TraceSet traces = workload::generateTraces(p, /*scale=*/1);
+    workload::AppStreamFactory factory(p, /*scale=*/1);
+    trace::SharedTraceStream stream(factory, /*lanes=*/2,
+                                    /*chunkEvents=*/512);
+    BatchMachine batch(lanesFor(), stream);
+    std::vector<LaneResult> results = batch.run();
+
+    std::vector<BatchLane> lanes = lanesFor();
+    ASSERT_EQ(results.size(), lanes.size());
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        ASSERT_TRUE(results[i].ok) << results[i].error;
+        expectIdenticalStats(
+            simulate(lanes[i].cfg, traces, lanes[i].placement),
+            results[i].stats);
+    }
 }
 
 // The full 1024-processor machine: the run completes, and the
